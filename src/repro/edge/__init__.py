@@ -1,4 +1,7 @@
-"""Edge-computing substrate: event simulation, nodes, network, scheduling, offloading."""
+"""Edge-computing substrate: nodes, resources, network, offloading.
+
+The discrete-event engine these build on lives in :mod:`repro.sim.engine`.
+"""
 
 from repro.edge.network import LinkSpec, NetworkTopology, build_linear_topology
 from repro.edge.offloading import (
@@ -18,25 +21,9 @@ from repro.edge.resources import (
     encode_flops,
     train_step_flops,
 )
-from repro.edge.scheduler import (
-    ClusterScheduler,
-    FastestFinishPolicy,
-    LeastLoadedPolicy,
-    RoundRobinPolicy,
-    ScheduledTask,
-    SchedulingPolicy,
-    scheduler_registry,
-)
 from repro.edge.server import ComputeNode, EdgeCluster, EdgeServer, MobileDevice, TaskResult
 
-# The event engine lives in repro.sim; re-exported here because the edge
-# substrate (cluster scheduler, offloading) predates the move and external
-# callers import it from either package.
-from repro.sim.engine import EventRecord, Simulation
-
 __all__ = [
-    "Simulation",
-    "EventRecord",
     "ComputeResource",
     "StorageResource",
     "encode_flops",
@@ -50,13 +37,6 @@ __all__ = [
     "ComputeNode",
     "EdgeCluster",
     "TaskResult",
-    "ScheduledTask",
-    "SchedulingPolicy",
-    "RoundRobinPolicy",
-    "LeastLoadedPolicy",
-    "FastestFinishPolicy",
-    "ClusterScheduler",
-    "scheduler_registry",
     "OffloadingContext",
     "OffloadingDecision",
     "OffloadingPolicy",

@@ -1,10 +1,9 @@
 """Global request-placement policies.
 
-These sit beside the per-batch :mod:`repro.edge.scheduler` policies — the
-``ClusterScheduler`` family decides *how work drains once queued at a node*;
-a placement policy decides *which cell each arriving request queues at* in
-the first place.  They share the same :class:`~repro.utils.registry.Registry`
-idiom so both families are configured by name.
+A placement policy decides *which cell each arriving request queues at*;
+the cell's batcher then decides how the queued work drains.  Policies are
+registered in a :class:`~repro.utils.registry.Registry` and configured by
+name.
 
 All three policies are RNG-free and are invoked **after**
 ``MobilityModel.resolve`` has established the serving cell, so enabling any
@@ -277,11 +276,8 @@ def _trace_span(trace: Optional[RequestTrace]) -> float:
     """Arrival span of ``trace`` in seconds (0.0 when unknown)."""
     if not isinstance(trace, RequestTrace) or len(trace) == 0:
         return 0.0
-    if trace.is_columnar:
-        timestamps = trace.timestamps
-        return float(timestamps.max() - timestamps.min())
-    times = [request.timestamp for request in trace.requests]
-    return float(max(times) - min(times))
+    timestamps = trace.timestamps
+    return float(timestamps.max() - timestamps.min())
 
 
 def make_policy(name: str) -> PlacementPolicy:

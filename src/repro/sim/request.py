@@ -39,6 +39,13 @@ TERMINAL_STATUSES = (COMPLETED, DROPPED, SHED, DEADLINE_EXCEEDED)
 #: but resilience timers (hedging) check it so they never act on a husk.
 FORWARDED = "forwarded"
 
+#: Handover flag of an arrival entering admission: none, a mobility
+#: handover (the user moved cells), or a failure re-home (the user's cell was
+#: down when it was planned, or a cross-shard continuation arrived).
+NO_HANDOVER = 0
+MOBILITY_HANDOVER = 1
+FAILOVER_HANDOVER = 2
+
 #: Cache-lookup outcomes.
 LOCAL_HIT = "hit"
 NEIGHBOR_FETCH = "neighbor"

@@ -32,10 +32,8 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.runtime.seedtree import SeedTree
 
-#: Per-request handover flags produced by the plan.
-NO_HANDOVER = 0
-MOBILITY_HANDOVER = 1
-FAILOVER_HANDOVER = 2
+# Per-request handover flags produced by the plan (defined with the lifecycle).
+from repro.sim.request import FAILOVER_HANDOVER, MOBILITY_HANDOVER, NO_HANDOVER
 
 
 def partition_cells(cell_names: Sequence[str], num_shards: int) -> List[List[str]]:

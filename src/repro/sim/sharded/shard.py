@@ -37,9 +37,8 @@ import numpy as np
 
 from repro.sim.engine import Simulation
 from repro.sim.metrics import CellStats, LatencyRecorder
-from repro.sim.multicell import CLOUD, CellConfig, ModelSpec
-from repro.sim.request import CLOUD_FETCH, DROPPED, FORWARDED, NEIGHBOR_FETCH, Request
-from repro.sim.sharded.partition import FAILOVER_HANDOVER
+from repro.sim.multicell import CellConfig, ModelSpec
+from repro.sim.request import FAILOVER_HANDOVER, FORWARDED, Request
 from repro.sim.simulator import MultiCellSimulator, SimulatorConfig
 
 _EMPTY: FrozenSet[str] = frozenset()
@@ -215,49 +214,17 @@ class ShardSimulator(MultiCellSimulator):
             self.config.num_tokens,
         )
         request.cell = cell.name
-        if self._resilience is not None:
-            self._stream_item_resilient(request, cell, self._plan_flags[index])
-            return
-        if cell.failed:
-            # Planned onto a cell that is down anyway (no alive candidate
-            # existed at planning time, or it died within a handover window).
-            self._failover(request, cell)
-            return
-        flag = self._plan_flags[index]
-        if flag:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            if flag == FAILOVER_HANDOVER:
-                cell.stats.failovers += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
-        self._lookup(request, cell)
-
-    def _stream_item_resilient(self, request: Request, cell, flag) -> None:
-        """Planned arrival under a policy: hedge timer, breaker-aware routing."""
-        policy = self._resilience
-        if policy.hedge_delay_s is not None:
-            self.engine.post(
-                policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
-            )
-        if cell.failed or self._breaker_open(cell):
-            self._failover(request, cell)
-            return
-        if flag:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            if flag == FAILOVER_HANDOVER:
-                cell.stats.failovers += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
-        self._lookup(request, cell)
+        # A planned cell may be down anyway (no alive candidate existed at
+        # planning time, or it died within a handover window): admission
+        # fails it over like any other arrival.
+        self._admit_arrival(request, cell, self._plan_flags[index])
 
     def _accept_forward(self, forward: Forward) -> None:
-        """Re-enter a cross-shard failover at the barrier (now = window end)."""
+        """Re-enter a cross-shard failover at the barrier (now = window end).
+
+        The continuation is admitted like a fresh arrival with a failure
+        handover, so it also gets its own hedge window under a policy.
+        """
         cell = self.cells[forward.cell]
         self._forward_counter += 1
         info = self._domain_info[forward.domain]
@@ -272,199 +239,89 @@ class ShardSimulator(MultiCellSimulator):
         request.handover = True
         request.cell = cell.name
         self._forward_hops[request.request_id] = forward.hops
-        policy = self._resilience
-        if policy is not None and policy.hedge_delay_s is not None:
-            # The continuation gets its own hedge window, like a fresh arrival.
-            self.engine.post(
-                policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
-            )
-        if cell.failed or (policy is not None and self._breaker_open(cell)):
-            self._failover(request, cell)
-            return
-        cell.stats.handovers_in += 1
-        cell.stats.failovers += 1
-        delay = self.config.mobility.handover_delay_s
-        if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-        else:
-            self._lookup(request, cell)
+        self._admit_arrival(request, cell, FAILOVER_HANDOVER)
 
     # ------------------------------------------------------------------ #
     # Lifecycle overrides
     # ------------------------------------------------------------------ #
-    def _failover(self, request: Request, from_cell) -> None:
-        """Serial failover, extended across the shard boundary.
+    def _neighbors(self, cell, hedge: bool) -> Sequence:
+        """Hedge twins stay on owned cells: the pair state lives on this shard.
 
-        The first alive candidate in the (global) neighbour order wins, as in
-        the serial engine — every shard applies the same fault timeline, so
-        remote ``failed`` flags are exact, not stale.  An owned winner is
-        handled locally; a remote winner turns the request into a
-        :class:`Forward` delivered at the next barrier, unless its hop budget
-        is spent.
+        A twin may only launch on, or re-home to, an owned cell, never
+        forward, because its primary is still live here and a cross-shard
+        continuation could terminate the logical request twice.
         """
-        if self._resilience is not None:
-            self._failover_resilient(request, from_cell)
-            return
-        fallback = None
-        for neighbor in from_cell.neighbor_order:
-            if not neighbor.failed:
-                fallback = neighbor
-                break
-        hops = self._forward_hops.pop(request.request_id, 0)
-        if fallback is None or hops >= self._max_forward_hops:
-            request.status = DROPPED
-            from_cell.stats.dropped += 1
-            hook = self.on_request_end
-            if hook is not None:
-                hook(request)
-            return
-        if fallback.name in self._owned:
-            self._forward_hops[request.request_id] = hops
-            request.handover = True
-            request.cell = fallback.name
-            fallback.stats.handovers_in += 1
-            fallback.stats.failovers += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=fallback: self._lookup(r, c))
-            else:
-                self._lookup(request, fallback)
-            return
-        self._forwards.append(
-            Forward(
-                cell=fallback.name,
-                user_id=request.user_id,
-                domain=request.domain,
-                arrival_time=request.arrival_time,
-                hops=hops + 1,
-            )
-        )
-
-    def _failover_resilient(self, request: Request, from_cell) -> None:
-        """Shard failover under a policy: breaker-aware, retry-aware, hedge-safe.
-
-        Hedge twins are pinned to their shard — a twin may only re-home to an
-        *owned* cell, never forward, because its primary is still live here
-        and a cross-shard continuation could terminate the logical request
-        twice.  When a primary with a live twin forwards, the local pair is
-        resolved by fiat (the remote continuation owns the terminal) so the
-        twin's eventual outcome is suppressed.  The forward-hop budget is
-        per-attempt: a retry after backoff starts a fresh chain, bounded by
-        ``max_retries`` overall.
-        """
-        owned = self._owned
-        is_hedge = request.is_hedge
-        fallback = None
-        for neighbor in from_cell.neighbor_order:
-            if is_hedge and neighbor.name not in owned:
-                continue
-            if not neighbor.failed and not self._breaker_open(neighbor):
-                fallback = neighbor
-                break
-        hops = self._forward_hops.pop(request.request_id, 0)
-        if fallback is None or hops >= self._max_forward_hops:
-            self._drop_or_retry(request, from_cell)
-            return
-        if fallback.name in owned:
-            self._forward_hops[request.request_id] = hops
-            request.handover = True
-            request.cell = fallback.name
-            fallback.stats.handovers_in += 1
-            fallback.stats.failovers += 1
-            # No mobility.place here: the shard's mobility model is never
-            # consulted — the pre-pass plan already fixed every serving cell.
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=fallback: self._lookup(r, c))
-            else:
-                self._lookup(request, fallback)
-            return
-        self._unadmit(request)
-        request.status = FORWARDED
-        pair = self._hedge_pairs.get(request.request_id)
-        if pair is not None:
-            pair[0] = True
-            pair[1] -= 1
-            if pair[1] <= 0:
-                del self._hedge_pairs[request.request_id]
-        self._forwards.append(
-            Forward(
-                cell=fallback.name,
-                user_id=request.user_id,
-                domain=request.domain,
-                arrival_time=request.arrival_time,
-                hops=hops + 1,
-            )
-        )
-
-    def _hedge_candidates(self, cell) -> Sequence:
-        """Hedge targets must be owned: the twin's pair state lives here."""
+        if not hedge:
+            return cell.neighbor_order
         owned = self._owned
         return [neighbor for neighbor in cell.neighbor_order if neighbor.name in owned]
 
-    def _begin_fetch(self, request: Request, cell, key: str, spec: ModelSpec) -> None:
+    def _failover_to(self, request: Request, from_cell, fallback) -> None:
+        """Serial failover decision, extended across the shard boundary.
+
+        Every shard applies the same fault timeline, so remote ``failed``
+        flags in the scan are exact, not stale.  An owned fallback re-homes
+        locally; a remote one turns the request into a :class:`Forward`
+        delivered at the next barrier, unless its hop budget is spent (then
+        it is a dead end: drop, or retry under a policy).  The hop budget is
+        per-attempt: a retry after backoff starts a fresh chain, bounded by
+        ``max_retries`` overall.
+        """
+        hops = self._forward_hops.pop(request.request_id, 0)
+        if fallback is not None and hops >= self._max_forward_hops:
+            fallback = None
+        if fallback is None or fallback.name in self._owned:
+            if fallback is not None:
+                self._forward_hops[request.request_id] = hops
+            super()._failover_to(request, from_cell, fallback)
+            return
+        self._unadmit(request)
+        request.status = FORWARDED
+        # A forwarded primary claims its hedge pair (the remote continuation
+        # owns the terminal) — unless its twin already completed here, in
+        # which case the logical request is done and nothing travels.
+        if not self._settle_pair(request, claim=True):
+            return
+        self._forwards.append(
+            Forward(
+                cell=fallback.name,
+                user_id=request.user_id,
+                domain=request.domain,
+                arrival_time=request.arrival_time,
+                hops=hops + 1,
+            )
+        )
+
+    def _find_source_cell(self, cell, key: str):
         """Cooperative-source search across owned caches *and* the directory.
 
         Walks the global neighbour order exactly like the serial engine;
         owned neighbours are checked live, remote neighbours through the
-        directory.  A remote hit is charged the exact global backhaul cost
-        but holds no pin — the remote entry may be evicted (or the directory
-        may be one window stale) while the copy is in flight, in which case
-        the model still arrives: the source held it within the last window,
-        which is the conservative-window guarantee.
+        directory (whose replica cell is returned).
         """
         owned = self._owned
         directory = self._directory
-        source = None
-        remote_name = None
         for neighbor in cell.neighbor_order:
             if neighbor.failed:
                 continue
-            name = neighbor.name
-            if name in owned:
+            if neighbor.name in owned:
                 if neighbor.cache.peek(key) is not None:
-                    source = neighbor
-                    break
-            elif key in directory.get(name, _EMPTY):
-                remote_name = name
-                break
-        epoch = cell.failure_epoch
-        if source is not None:
-            cell.stats.neighbor_fetches += 1
-            request.cache_outcome = NEIGHBOR_FETCH
-            source.cache.pin(key)
-            delay = self.costs.transfer_time(source.name, cell.name, spec.size_bytes)
-            self.backhaul_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, s=source, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=s, epoch=e
-                ),
-            )
-        elif remote_name is not None:
-            cell.stats.neighbor_fetches += 1
-            request.cache_outcome = NEIGHBOR_FETCH
-            delay = self.costs.transfer_time(remote_name, cell.name, spec.size_bytes)
-            self.backhaul_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=None, epoch=e
-                ),
-            )
-        else:
-            cell.stats.cloud_fetches += 1
-            request.cache_outcome = CLOUD_FETCH
-            delay = spec.build_cost_s + self.costs.transfer_time(
-                CLOUD, cell.name, spec.size_bytes
-            )
-            self.cloud_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=None, epoch=e
-                ),
-            )
+                    return neighbor
+            elif key in directory.get(neighbor.name, _EMPTY):
+                return neighbor
+        return None
+
+    def _pin_source(self, source, key: str):
+        """A remote source is charged the exact global backhaul cost but holds no pin.
+
+        The remote entry may be evicted (or the directory may be one window
+        stale) while the copy is in flight, in which case the model still
+        arrives: the source held it within the last window, which is the
+        conservative-window guarantee.
+        """
+        if source.name in self._owned:
+            return super()._pin_source(source, key)
+        return None
 
     def fail_cell(self, name: str) -> None:
         super().fail_cell(name)

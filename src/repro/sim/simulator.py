@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,10 +59,13 @@ from repro.sim.request import (
     COMPLETED,
     DEADLINE_EXCEEDED,
     DROPPED,
+    FAILOVER_HANDOVER,
     FETCHING,
     FORWARDED,
     LOCAL_HIT,
+    MOBILITY_HANDOVER,
     NEIGHBOR_FETCH,
+    NO_HANDOVER,
     QUEUED,
     SHED,
     TERMINAL_STATUSES,
@@ -313,13 +316,35 @@ class MultiCellSimulator:
             self._outstanding[prev] -= 1
             request.admitted_cell = ""
 
+    def _settle_pair(self, request: Request, claim: bool) -> bool:
+        """Account one half of a hedge pair leaving play; whether it owns the terminal.
+
+        The pair state is ``[resolved, pending]`` per logical request id.  A
+        *claiming* half (a completion, a cross-shard forward) wins the pair
+        unless its twin already did; a *failing* half only owns the logical
+        terminal when it is the last one unresolved, because while its twin
+        is in flight the request may yet succeed.  A request without a twin
+        always owns its terminal.  Either way exactly one half per logical
+        request id terminates it.
+        """
+        pairs = self._hedge_pairs
+        pair = pairs.get(request.request_id)
+        if pair is None:
+            return True
+        pair[1] -= 1
+        owns = not pair[0] and (claim or pair[1] <= 0)
+        if owns:
+            pair[0] = True
+        if pair[1] <= 0:
+            del pairs[request.request_id]
+        return owns
+
     def _finish_failure(self, request: Request, cell: Cell, status: str) -> None:
         """Terminate one physical request attempt with a failure status.
 
-        Hedge-aware: while the request's twin is still in flight the logical
-        request may yet succeed, so this half is suppressed (no terminal
-        event, no counters) — only the last unresolved half emits the
-        failure.  Exactly one terminal per logical request id, always.
+        Hedge-aware: a half whose twin is still in flight (or already won)
+        is suppressed (no terminal event, no counters); see
+        :meth:`_settle_pair`.
 
         Shedding does **not** feed the circuit breaker: a full admission
         queue is back-pressure the policy itself created, not evidence the
@@ -329,17 +354,9 @@ class MultiCellSimulator:
         """
         if status != SHED:
             self._breaker_record(cell, False)
-        pair = self._hedge_pairs.get(request.request_id)
-        if pair is not None:
-            pair[1] -= 1
-            if pair[0] or pair[1] > 0:
-                self._unadmit(request)
-                if pair[1] <= 0:
-                    del self._hedge_pairs[request.request_id]
-                return
-            pair[0] = True
-            del self._hedge_pairs[request.request_id]
         self._unadmit(request)
+        if not self._settle_pair(request, claim=False):
+            return
         request.status = status
         if status == DROPPED:
             cell.stats.dropped += 1
@@ -347,6 +364,8 @@ class MultiCellSimulator:
             cell.stats.shed += 1
         else:
             cell.stats.deadline_exceeded += 1
+        if self._placement is not None:
+            self._placement.release(request)
         hook = self.on_request_end
         if hook is not None:
             hook(request)
@@ -354,13 +373,14 @@ class MultiCellSimulator:
     def _drop_or_retry(self, request: Request, from_cell: Cell) -> None:
         """No route was found for ``request``: drop it, or schedule a retry.
 
+        Without a policy (or with its retry budget spent) the request drops.
         Retries re-fire after exponential backoff with hash-derived jitter
         (zero RNG consumption; see :func:`repro.sim.resilience.jitter_fraction`)
         and re-home via the normal failover scan.  Hedge twins never retry —
         their primary carries the retry budget.
         """
         policy = self._resilience
-        if request.is_hedge or request.attempts >= policy.max_retries:
+        if policy is None or request.is_hedge or request.attempts >= policy.max_retries:
             self._finish_failure(request, from_cell, DROPPED)
             return
         attempt = request.attempts
@@ -388,8 +408,13 @@ class MultiCellSimulator:
             return
         self._failover(request, cell)
 
-    def _hedge_candidates(self, cell: Cell) -> Sequence[Cell]:
-        """Cells eligible as hedge targets, nearest first (overridable)."""
+    def _neighbors(self, cell: Cell, hedge: bool) -> Sequence[Cell]:
+        """Cells that may take over from ``cell``, nearest first.
+
+        ``hedge`` asks on behalf of a hedge twin (launching one, or failing
+        one over).  The serial engine offers every neighbour either way;
+        the sharded backend keeps twins on the cells it owns.
+        """
         return cell.neighbor_order
 
     def _maybe_hedge(self, request: Request) -> None:
@@ -403,7 +428,7 @@ class MultiCellSimulator:
         if cell is None:
             return
         target: Optional[Cell] = None
-        for neighbor in self._hedge_candidates(cell):
+        for neighbor in self._neighbors(cell, True):
             if (
                 neighbor.name != request.cell
                 and not neighbor.failed
@@ -426,42 +451,6 @@ class MultiCellSimulator:
         self._hedge_pairs[request.request_id] = [False, 2]
         target.stats.hedges += 1
         self._lookup(twin, target)
-
-    def _complete_resilient(self, cell: Cell, requests: List[Request]) -> None:
-        """Completion under a policy: first hedge half wins, losers de-count."""
-        now = self.engine.now
-        record = self.latency.record
-        hook = self.on_request_end
-        pairs = self._hedge_pairs
-        completed_count = 0
-        for request in requests:
-            self._breaker_record(cell, True)
-            pair = pairs.get(request.request_id)
-            if pair is not None:
-                pair[1] -= 1
-                if pair[0]:
-                    # The twin already won: this physical finish is the
-                    # cancelled loser — de-count it entirely.
-                    self._unadmit(request)
-                    if pair[1] <= 0:
-                        del pairs[request.request_id]
-                    continue
-                pair[0] = True
-                if pair[1] <= 0:
-                    del pairs[request.request_id]
-                if request.is_hedge:
-                    cell.stats.hedge_wins += 1
-            self._unadmit(request)
-            request.completion_time = now
-            request.status = COMPLETED
-            record(now - request.arrival_time)
-            if hook is not None:
-                hook(request)
-            completed_count += 1
-        if completed_count:
-            cell.stats.completed += completed_count
-            self._completed_total += completed_count
-            self._last_completion = now
 
     # ------------------------------------------------------------------ #
     # Trace replay
@@ -502,93 +491,39 @@ class MultiCellSimulator:
     def submit(self, timestamp: float, user_id: str, domain: str) -> Request:
         """Schedule one request's arrival (before or during :meth:`run`)."""
         request = self._make_request(timestamp, user_id, domain)
-        self.engine.schedule_at(timestamp, lambda sim, r=request: self._on_arrival(r))
+        self.engine.schedule_at(timestamp, lambda sim, r=request: self._admit_arrival(r))
         return request
 
-    def replay(self, trace: RequestTrace | Iterable, run: bool = True) -> SimulationReport:
-        """Schedule every trace request and (by default) run to completion.
+    def replay(self, trace: RequestTrace) -> SimulationReport:
+        """Replay every request of ``trace`` to completion; return the report.
 
-        Arrivals are *not* pre-scheduled on the event heap: ``run()`` merges
-        the time-sorted request stream into the engine's pop loop
+        Arrivals are *not* pre-scheduled on the event heap: the time-sorted
+        trace columns are merged into the engine's pop loop
         (:meth:`~repro.sim.engine.Simulation.run_stream`), so the heap only
         ever holds the genuinely concurrent work (in-flight fetches, batch
-        timers, completions) instead of 50k pending arrivals.  Processing
-        order is identical to eager scheduling.  With ``run=False`` the
-        arrivals are eagerly scheduled on the event queue instead so a later
-        plain ``engine.run()`` still sees them.
-
-        A columnar :class:`~repro.workloads.traces.RequestTrace` takes the
-        array fast path: :class:`~repro.sim.request.Request` objects are
-        materialized lazily inside the stream merge, one per arrival, instead
-        of all up front — replaying millions of requests never holds more
-        request objects than are concurrently in flight (unless
-        ``retain_requests`` keeps them).  Results are bit-identical to the
-        object path.
+        timers, completions) instead of 50k pending arrivals.
+        :class:`~repro.sim.request.Request` objects are materialized lazily
+        inside the stream merge, one per arrival — replaying millions of
+        requests never holds more request objects than are concurrently in
+        flight (unless ``retain_requests`` keeps them).  Request ids follow
+        *trace position*, and the stable sort keeps tied timestamps in trace
+        order.
         """
+        if not isinstance(trace, RequestTrace):
+            raise ConfigurationError(
+                f"replay() takes a RequestTrace, got {type(trace).__name__}; "
+                "build one with RequestTrace.from_columns"
+            )
+        if self._arrival_stream:
+            raise SimulationError(
+                "a previous replay stopped mid-run; call run() to finish its "
+                "undelivered arrivals before replaying another trace"
+            )
         if self._placement is not None:
             # Demand estimation + offline prewarm happen before the first
             # arrival; the runtime is idempotent so chained replays keep the
             # first trace's plan.
-            self._placement.prepare(self, trace if isinstance(trace, RequestTrace) else None)
-        if (
-            run
-            and not self._arrival_stream
-            and isinstance(trace, RequestTrace)
-            and trace.is_columnar
-        ):
-            return self._replay_columnar(trace)
-        domain_info = self._domain_info
-        num_tokens = self.config.num_tokens
-        counter = self._request_counter
-        pending: List[Request] = []
-        for trace_request in trace:
-            domain = trace_request.domain
-            info = domain_info.get(domain)
-            if info is None:
-                raise SimulationError(f"domain {domain!r} is not in the model catalogue")
-            counter += 1
-            # Positional construction: measurably cheaper than keyword calls
-            # at 50k+ requests (field order is part of Request's contract).
-            pending.append(
-                Request(
-                    counter,
-                    trace_request.user_id,
-                    domain,
-                    info[0],
-                    trace_request.timestamp,
-                    num_tokens,
-                )
-            )
-        self._request_counter = counter
-        if self.config.retain_requests:
-            self.requests.extend(pending)
-        if pending:
-            if run:
-                self._arrival_stream.extend(pending)
-                # Stable sort: equal-time arrivals keep trace order.
-                self._arrival_stream.sort(key=lambda request: request.arrival_time)
-            else:
-                # Without an immediate run the arrivals must live on the event
-                # queue so a later engine.run() still sees them.  Schedule
-                # them eagerly in trace order — this cold path trades the
-                # small-heap optimization for exactly the original eager
-                # sequence-number semantics (tied timestamps included).
-                for request in pending:
-                    self.engine.schedule_at(
-                        request.arrival_time, lambda sim, r=request: self._on_arrival(r)
-                    )
-        if run:
-            return self.run()
-        return self.report(wall_clock_s=0.0)
-
-    def _replay_columnar(self, trace: RequestTrace) -> SimulationReport:
-        """Array fast path of :meth:`replay`: lazy per-arrival materialization.
-
-        Request ids are assigned by *trace position* (as the object path does
-        before sorting), and the stable sort keeps tied timestamps in trace
-        order, so every value any event handler observes is identical to the
-        object-based replay.
-        """
+            self._placement.prepare(self, trace)
         timestamps = trace.timestamps
         user_indices = trace.user_indices
         domain_indices = trace.domain_indices
@@ -615,7 +550,7 @@ class MultiCellSimulator:
         num_tokens = self.config.num_tokens
         retain = self.config.retain_requests
         requests_list = self.requests
-        arrive = self._on_arrival
+        arrive = self._admit_arrival
         # Per-request string formatting hoisted out of the event loop: the
         # label tables are num_users/num_domains entries, not num_requests.
         user_labels = [f"user_{index}" for index in range(int(user_indices.max()) + 1)]
@@ -623,7 +558,7 @@ class MultiCellSimulator:
 
         def on_stream_item(sim: Simulation, index: int) -> None:
             nonlocal delivered
-            # Delivered before processing, matching the object stream path.
+            # Marked delivered before processing, as in run().
             delivered = index + 1
             position = index if order is None else int(order[index])
             domain_index = domain_indices[position]
@@ -644,9 +579,9 @@ class MultiCellSimulator:
         try:
             self.engine.run_stream(sorted_times, on_stream_item, presorted=True)
         except BaseException:
-            # Materialize the undelivered tail so a retry after a mid-replay
-            # exception continues where the run stopped (same contract as the
-            # object path).
+            # Materialize the undelivered tail so a run() after a mid-replay
+            # exception continues where the replay stopped instead of
+            # silently simulating only the delivered prefix.
             tail: List[Request] = []
             for index in range(delivered, num_requests):
                 position = index if order is None else int(order[index])
@@ -666,12 +601,20 @@ class MultiCellSimulator:
         return self.report(wall_clock_s=time.perf_counter() - started)
 
     def run(self) -> SimulationReport:
-        """Process all scheduled events and return the run's report."""
+        """Process all scheduled events and return the run's report.
+
+        This drives :meth:`submit`-scheduled arrivals, and finishes the
+        undelivered arrivals of a replay that stopped on an exception.
+        """
+        if self._placement is not None:
+            # No trace to estimate demand from: prepare with live state only
+            # (a no-op after a replay already prepared the runtime).
+            self._placement.prepare(self, None)
         started = time.perf_counter()
         stream = self._arrival_stream
         if stream:
             self._arrival_stream = []
-            arrive = self._on_arrival
+            arrive = self._admit_arrival
             delivered = 0
 
             def on_stream_item(sim: Simulation, index: int) -> None:
@@ -697,136 +640,93 @@ class MultiCellSimulator:
     # ------------------------------------------------------------------ #
     # Lifecycle stages
     # ------------------------------------------------------------------ #
-    def _on_arrival(self, request: Request) -> None:
-        cell_name, moved = self.mobility.resolve(request.user_id)
-        cell = self.cells[cell_name]
-        request.cell = cell_name
-        if self._resilience is not None:
-            self._on_arrival_resilient(request, cell, moved)
-            return
-        if self._placement is not None:
-            self._on_arrival_placed(request, cell, moved)
-            return
-        if cell.failed:
-            # The serving cell is down: hand the user over to the nearest
-            # alive neighbour (this also re-homes the user for later arrivals).
-            self._failover(request, cell)
-            return
-        if moved is not None:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
-        self._lookup(request, cell)
+    # Every request walks one path: admission -> lookup -> fetch -> batch ->
+    # completion, with failover re-entering at lookup.  The resilience and
+    # placement policies act at fixed points inside these steps; without a
+    # policy each point costs one ``is None`` check.
+    def _admit_arrival(
+        self, request: Request, cell: Optional[Cell] = None, handover: int = NO_HANDOVER
+    ) -> None:
+        """Admission: one step for every arrival, whatever produced it.
 
-    def _on_arrival_placed(self, request: Request, cell: Cell, moved) -> None:
-        """Arrival under a placement policy: route, forward, then look up.
-
-        Routing happens *after* ``mobility.resolve`` and consumes no RNG, so
-        a ``naive`` placement replay is metric-identical to no placement at
-        all.  Serving a request away from its serving cell charges the
-        backhaul for the request payload (``forward_bytes``) on top of any
-        mobility handover delay; the response downlink is billed at the
-        executing cell as usual.
+        ``cell`` is the serving cell and ``handover`` a
+        :data:`~repro.sim.request.NO_HANDOVER` / ``MOBILITY_HANDOVER`` /
+        ``FAILOVER_HANDOVER`` flag; a handover charges the mobility
+        control-plane delay before the lookup.  Without a ``cell`` (the
+        serial engine's arrivals) the mobility model resolves it, and a
+        sampled move is a mobility handover.  Under a resilience policy the
+        hedge timer is armed and a breaker-open serving cell is failed over
+        like a dead one.  Under a placement policy the request is routed,
+        and serving it away from its serving cell charges the backhaul for
+        the request payload (``forward_bytes``) on top of any handover
+        delay; routing consumes no RNG, so a ``naive`` placement replay is
+        metric-identical to no placement at all.
         """
-        placement = self._placement
-        if not placement.prepared:
-            # submit()/run() path without a replay(): no trace to estimate
-            # demand from, prepare with live state only.
-            placement.prepare(self, None)
-        if cell.failed:
-            self._failover(request, cell)
-            return
-        target = placement.route(self, request, cell)
-        delay = 0.0
-        if moved is not None:
-            request.handover = True
-            cell.stats.handovers_in += 1
-            delay = self.config.mobility.handover_delay_s
-        if target is not cell:
-            request.cell = target.name
-            placement.forwards += 1
-            forward_bytes = placement.spec.forward_bytes
-            if forward_bytes > 0:
-                delay += self.costs.transfer_time(cell.name, target.name, forward_bytes)
-                self.backhaul_bytes += forward_bytes
-        placement.admit(request, target.name)
-        if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=target: self._lookup(r, c))
-            return
-        self._lookup(request, target)
-
-    def _on_arrival_resilient(self, request: Request, cell: Cell, moved) -> None:
-        """Arrival under a policy: hedge timer, breaker-aware routing."""
+        if cell is None:
+            cell_name, moved = self.mobility.resolve(request.user_id)
+            request.cell = cell_name
+            cell = self.cells[cell_name]
+            if moved is not None:
+                handover = MOBILITY_HANDOVER
         policy = self._resilience
-        if policy.hedge_delay_s is not None:
-            self.engine.post(
-                policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r)
-            )
-        if cell.failed or self._breaker_open(cell):
+        if policy is not None and policy.hedge_delay_s is not None:
+            self.engine.post(policy.hedge_delay_s, lambda sim, r=request: self._maybe_hedge(r))
+        if cell.failed or (policy is not None and self._breaker_open(cell)):
+            # The serving cell is down (or refusing traffic): hand the user
+            # over to the nearest usable neighbour (this also re-homes the
+            # user for later arrivals).
             self._failover(request, cell)
             return
-        if moved is not None:
+        delay = 0.0
+        if handover:
             request.handover = True
             cell.stats.handovers_in += 1
+            if handover == FAILOVER_HANDOVER:
+                cell.stats.failovers += 1
             delay = self.config.mobility.handover_delay_s
-            if delay > 0:
-                self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
-                return
-        self._lookup(request, cell)
+        placement = self._placement
+        if placement is not None:
+            target = placement.route(self, request, cell)
+            if target is not cell:
+                request.cell = target.name
+                placement.forwards += 1
+                forward_bytes = placement.spec.forward_bytes
+                if forward_bytes > 0:
+                    delay += self.costs.transfer_time(cell.name, target.name, forward_bytes)
+                    self.backhaul_bytes += forward_bytes
+                cell = target
+            placement.admit(request, cell.name)
+        if delay > 0:
+            self.engine.post(delay, lambda sim, r=request, c=cell: self._lookup(r, c))
+        else:
+            self._lookup(request, cell)
 
     def _failover(self, request: Request, from_cell: Cell) -> None:
-        """Re-home ``request`` from a failed cell to its nearest alive neighbour.
+        """Re-home ``request`` from a failed cell to its nearest usable neighbour.
 
         Fallback candidates are the failed cell's backhaul-reachable neighbours
-        in increasing transfer-cost order (the cooperative-fetch ordering).  If
-        every one of them is down too the request is dropped — the only way a
-        request ever terminates unserved.  A failure handover charges the same
-        control-plane delay as a mobility handover.
-
-        Under a resilience policy the scan additionally skips breaker-open
-        cells, a dead end becomes a retry decision instead of an immediate
-        drop, and hedge twins never re-home the user's mobility placement
-        (the primary owns it).
+        in increasing transfer-cost order (the cooperative-fetch ordering);
+        under a resilience policy the scan also skips breaker-open cells.
+        :meth:`_failover_to` acts on the pick.
         """
-        if self._resilience is not None:
-            self._failover_resilient(request, from_cell)
-            return
+        check_breakers = self._resilience is not None
         fallback: Optional[Cell] = None
-        for neighbor in from_cell.neighbor_order:
-            if not neighbor.failed:
+        for neighbor in self._neighbors(from_cell, request.is_hedge):
+            if not neighbor.failed and not (check_breakers and self._breaker_open(neighbor)):
                 fallback = neighbor
                 break
-        if fallback is None:
-            request.status = DROPPED
-            from_cell.stats.dropped += 1
-            if self._placement is not None:
-                self._placement.release(request)
-            hook = self.on_request_end
-            if hook is not None:
-                hook(request)
-            return
-        request.handover = True
-        request.cell = fallback.name
-        fallback.stats.handovers_in += 1
-        fallback.stats.failovers += 1
-        if self._placement is not None:
-            self._placement.rehome(request, fallback.name)
-        self.mobility.place(request.user_id, fallback.name)
-        delay = self.config.mobility.handover_delay_s
-        if delay > 0:
-            self.engine.post(delay, lambda sim, r=request, c=fallback: self._lookup(r, c))
-        else:
-            self._lookup(request, fallback)
+        self._failover_to(request, from_cell, fallback)
 
-    def _failover_resilient(self, request: Request, from_cell: Cell) -> None:
-        fallback: Optional[Cell] = None
-        for neighbor in from_cell.neighbor_order:
-            if not neighbor.failed and not self._breaker_open(neighbor):
-                fallback = neighbor
-                break
+    def _failover_to(self, request: Request, from_cell: Cell, fallback: Optional[Cell]) -> None:
+        """Act on the failover scan: re-home onto ``fallback``, or drop-or-retry.
+
+        With no candidate left the request is dropped (or, under a policy,
+        retried after backoff) — the only way a request ever terminates
+        unserved without a policy.  A failure handover charges the same
+        control-plane delay as a mobility handover, and moves the user's
+        mobility placement unless the request is a hedge twin (the primary
+        owns it).
+        """
         if fallback is None:
             self._drop_or_retry(request, from_cell)
             return
@@ -834,6 +734,8 @@ class MultiCellSimulator:
         request.cell = fallback.name
         fallback.stats.handovers_in += 1
         fallback.stats.failovers += 1
+        if self._placement is not None:
+            self._placement.rehome(request, fallback.name)
         if not request.is_hedge:
             self.mobility.place(request.user_id, fallback.name)
         delay = self.config.mobility.handover_delay_s
@@ -876,41 +778,42 @@ class MultiCellSimulator:
     def _begin_fetch(self, request: Request, cell: Cell, key: str, spec: ModelSpec) -> None:
         """Start the model fetch for a fresh miss (waiters already registered).
 
-        Extracted from :meth:`_lookup` so backends with a wider notion of
-        "source" (the sharded backend consults a cross-shard cache directory)
-        can override fetch routing without touching the hit/coalesce path.
+        The nearest cooperative source (:meth:`_find_source_cell`) ships the
+        model over the backhaul, its entry pinned for the copy's duration
+        (:meth:`_pin_source`); with no source the cloud rebuilds it.
         """
         source = self._find_source_cell(cell, key)
         epoch = cell.failure_epoch
+        pinned: Optional[Cell] = None
         if source is not None:
             cell.stats.neighbor_fetches += 1
             request.cache_outcome = NEIGHBOR_FETCH
-            source.cache.pin(key)
+            pinned = self._pin_source(source, key)
             delay = self.costs.transfer_time(source.name, cell.name, spec.size_bytes)
             self.backhaul_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, s=source, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=s, epoch=e
-                ),
-            )
         else:
             cell.stats.cloud_fetches += 1
             request.cache_outcome = CLOUD_FETCH
             delay = spec.build_cost_s + self.costs.transfer_time(CLOUD, cell.name, spec.size_bytes)
             self.cloud_bytes += spec.size_bytes
-            self.engine.post(
-                delay,
-                lambda sim, c=cell, k=key, m=spec, e=epoch: self._fetch_done(
-                    c, k, m, source=None, epoch=e
-                ),
-            )
+        self.engine.post(
+            delay,
+            lambda sim, c=cell, k=key, s=pinned, m=spec, e=epoch: self._fetch_done(
+                c, k, m, source=s, epoch=e
+            ),
+        )
 
     def _find_source_cell(self, cell: Cell, key: str) -> Optional[Cell]:
+        """Nearest alive neighbour holding ``key``, or ``None`` (then: the cloud)."""
         for neighbor in cell.neighbor_order:
             if not neighbor.failed and neighbor.cache.peek(key) is not None:
                 return neighbor
         return None
+
+    def _pin_source(self, source: Cell, key: str) -> Optional[Cell]:
+        """Pin ``source``'s entry for the copy; returns the cell to unpin on arrival."""
+        source.cache.pin(key)
+        return source
 
     def _fetch_done(
         self, cell: Cell, key: str, spec: ModelSpec, source: Optional[Cell], epoch: int = 0
@@ -999,14 +902,23 @@ class MultiCellSimulator:
         )
 
     def _complete(self, cell: Cell, requests: List[Request]) -> None:
-        if self._resilience is not None:
-            self._complete_resilient(cell, requests)
-            return
+        """Completion of one batch; under a policy the first hedge half wins."""
         now = self.engine.now
         record = self.latency.record
         hook = self.on_request_end
+        policy = self._resilience
         placement = self._placement
+        completed_count = 0
         for request in requests:
+            if policy is not None:
+                self._breaker_record(cell, True)
+                self._unadmit(request)
+                if not self._settle_pair(request, claim=True):
+                    # The twin already won: this physical finish is the
+                    # cancelled loser — de-count it entirely.
+                    continue
+                if request.is_hedge:
+                    cell.stats.hedge_wins += 1
             request.completion_time = now
             request.status = COMPLETED
             record(now - request.arrival_time)
@@ -1014,9 +926,11 @@ class MultiCellSimulator:
                 placement.release(request)
             if hook is not None:
                 hook(request)
-        cell.stats.completed += len(requests)
-        self._completed_total += len(requests)
-        self._last_completion = now
+            completed_count += 1
+        if completed_count:
+            cell.stats.completed += completed_count
+            self._completed_total += completed_count
+            self._last_completion = now
 
     # ------------------------------------------------------------------ #
     # Fault injection (timed mid-run mutations)

@@ -162,13 +162,12 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------ #
     # Replay entry point
     # ------------------------------------------------------------------ #
-    def replay(self, trace, run: bool = True) -> SimulationReport:
-        blocker = self._fast_path_blocker(trace, run)
+    def replay(self, trace) -> SimulationReport:
+        blocker = self._fast_path_blocker(trace)
         if blocker is not None:
             self.fallback_reason = blocker
-            report = self._inner.replay(trace, run=run)
-            if run:
-                self._timeline.clear()
+            report = self._inner.replay(trace)
+            self._timeline.clear()
             return report
         self.fallback_reason = None
         if self._cross_check:
@@ -178,7 +177,7 @@ class VectorizedSimulator:
                 return self._validate(trace, signature)
             if verdict is False:
                 self.fallback_reason = "cross-check divergence recorded for this signature"
-                report = self._inner.replay(trace, run=True)
+                report = self._inner.replay(trace)
                 self._timeline.clear()
                 return report
         timeline = list(self._timeline)
@@ -190,12 +189,10 @@ class VectorizedSimulator:
     # ------------------------------------------------------------------ #
     # Eligibility
     # ------------------------------------------------------------------ #
-    def _fast_path_blocker(self, trace, run: bool) -> Optional[str]:
+    def _fast_path_blocker(self, trace) -> Optional[str]:
         """Why this replay cannot take the kernel (``None`` when it can)."""
-        if not run:
-            return "run=False replays schedule eagerly on the engine heap"
-        if not isinstance(trace, RequestTrace) or not trace.is_columnar:
-            return "object traces take the serial per-request path"
+        if not isinstance(trace, RequestTrace):
+            return "not a RequestTrace (the serial engine rejects it)"
         if len(trace.timestamps) == 0:
             return "empty trace"
         if float(np.min(trace.timestamps)) < self._inner.engine.now:
@@ -306,7 +303,7 @@ class VectorizedSimulator:
             fast_report = self._replay_fast(shadow, trace, hook=None, timeline=timeline)
         except Exception:
             fast_report = None
-        serial_report = self._inner.replay(trace, run=True)
+        serial_report = self._inner.replay(trace)
         self._timeline.clear()
         verdict = fast_report is not None and self._reports_equal(serial_report, fast_report)
         VectorizedSimulator._validated[signature] = verdict

@@ -1,4 +1,4 @@
-"""Tests for the discrete-event engine, resources, nodes, network, scheduling, offloading."""
+"""Tests for the discrete-event engine, resources, nodes, network, offloading."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from repro.edge import (
     AdaptiveOffloadingPolicy,
-    ClusterScheduler,
     ComputeResource,
     EdgeCluster,
     EdgeServer,
@@ -16,8 +15,6 @@ from repro.edge import (
     MobileDevice,
     NetworkTopology,
     OffloadingContext,
-    ScheduledTask,
-    Simulation,
     StorageResource,
     build_linear_topology,
     compare_policies,
@@ -26,6 +23,7 @@ from repro.edge import (
     train_step_flops,
 )
 from repro.exceptions import SchedulingError, SimulationError
+from repro.sim.engine import Simulation
 
 
 class TestSimulation:
@@ -210,46 +208,6 @@ class TestNetwork:
     def test_transfer_time_monotone_in_bytes(self, num_bytes):
         link = LinkSpec(bandwidth_bps=1e6, propagation_delay_s=0.001)
         assert link.transfer_time(num_bytes * 2) > link.transfer_time(num_bytes)
-
-
-class TestScheduler:
-    def _cluster(self):
-        cluster = EdgeCluster()
-        cluster.add_server(EdgeServer("edge_0", flops_per_second=1e9))
-        cluster.add_server(EdgeServer("edge_1", flops_per_second=2e9))
-        return cluster
-
-    def test_round_robin_alternates(self):
-        scheduler = ClusterScheduler(self._cluster(), policy="round-robin")
-        nodes = [scheduler.submit(ScheduledTask(f"t{i}", 1e8, 0.0)).node for i in range(4)]
-        assert nodes == ["edge_0", "edge_1", "edge_0", "edge_1"]
-
-    def test_fastest_finish_prefers_faster_server(self):
-        scheduler = ClusterScheduler(self._cluster(), policy="fastest-finish")
-        result = scheduler.submit(ScheduledTask("t", 1e9, 0.0))
-        assert result.node == "edge_1"
-
-    def test_least_loaded_balances_queues(self):
-        scheduler = ClusterScheduler(self._cluster(), policy="least-loaded")
-        nodes = [scheduler.submit(ScheduledTask(f"t{i}", 1e9, 0.0)).node for i in range(4)]
-        assert set(nodes) == {"edge_0", "edge_1"}
-
-    def test_preferred_node_pinning(self):
-        scheduler = ClusterScheduler(self._cluster())
-        result = scheduler.submit(ScheduledTask("t", 1e8, 0.0, preferred_node="edge_0"))
-        assert result.node == "edge_0"
-
-    def test_latency_summary(self):
-        scheduler = ClusterScheduler(self._cluster())
-        for i in range(5):
-            scheduler.submit(ScheduledTask(f"t{i}", 1e8, 0.0))
-        summary = scheduler.latency_summary()
-        assert summary["count"] == 5 and summary["p95"] >= summary["mean"] * 0.5
-
-    def test_empty_candidates_raise(self):
-        scheduler = ClusterScheduler(EdgeCluster())
-        with pytest.raises(SchedulingError):
-            scheduler.submit(ScheduledTask("t", 1e8, 0.0))
 
 
 class TestOffloading:

@@ -70,47 +70,6 @@ class TestColumnarReplayEquivalence:
         )
         return domains, simulator
 
-    def test_columnar_replay_matches_object_replay(self):
-        from repro.workloads.generator import ArrivalTraceGenerator
-        from repro.workloads.traces import RequestTrace
-
-        domains, columnar_sim = self._components()
-        _, object_sim = self._components()
-        generator = ArrivalTraceGenerator(
-            domains, num_users=60, profile="diurnal", rate=800.0, peak_rate=2400.0, seed=3
-        )
-        trace = generator.generate(5000)
-        assert trace.is_columnar
-        object_trace = RequestTrace(requests=list(trace))
-
-        columnar_report = columnar_sim.replay(trace)
-        object_report = object_sim.replay(object_trace)
-
-        # Reports agree field-for-field (wall clock aside).
-        for field in (
-            "completed",
-            "duration_s",
-            "events_processed",
-            "latency",
-            "total_compute_busy_s",
-            "backhaul_bytes",
-            "cloud_bytes",
-        ):
-            assert getattr(columnar_report, field) == getattr(object_report, field), field
-        for cell_name in columnar_report.cells:
-            assert (
-                columnar_report.cells[cell_name].__dict__
-                == object_report.cells[cell_name].__dict__
-            ), cell_name
-
-        # Every request took the identical lifecycle, event for event.
-        assert len(columnar_sim.requests) == len(object_sim.requests)
-        object_by_id = {request.request_id: request for request in object_sim.requests}
-        for request in columnar_sim.requests:
-            twin = object_by_id[request.request_id]
-            for slot in request.__slots__:
-                assert getattr(request, slot) == getattr(twin, slot), (request.request_id, slot)
-
     def test_columnar_replay_without_retention_keeps_report(self):
         from repro.sim.batching import BatchingConfig
         from repro.sim.multicell import CellConfig, default_catalogue

@@ -27,6 +27,26 @@ from repro.workloads import ArrivalTraceGenerator
 DOMAINS = [f"domain_{index}" for index in range(6)]
 
 
+class CountingHook:
+    """Mergeable terminal-event counter.
+
+    Module-level so the sharded process driver can pickle each shard's clone
+    back to the coordinator, where :meth:`merge` folds it into the original.
+    """
+
+    def __init__(self):
+        self.seen = []
+
+    def __call__(self, request):
+        self.seen.append(request.request_id)
+
+    def clone_empty(self):
+        return CountingHook()
+
+    def merge(self, other):
+        self.seen.extend(other.seen)
+
+
 def cell_configs(count=4):
     return [CellConfig(name=f"cell_{index}") for index in range(count)]
 
@@ -142,24 +162,31 @@ class TestProtocolConformance:
     @pytest.mark.parametrize("name,shards", [("serial", None), ("sharded", 2)])
     def test_replay_returns_a_report_and_fires_the_hook(self, name, shards):
         backend = make_backend(name, shards=shards)
-        seen = []
-
-        class Hook:
-            def __call__(self, request):
-                seen.append(request.request_id)
-
-            def clone_empty(self):
-                return Hook()
-
-            def merge(self, other):
-                pass
-
-        hook = Hook()
+        hook = CountingHook()
         backend.on_request_end = hook
         trace = ArrivalTraceGenerator(DOMAINS, num_users=40, rate=500.0, seed=3).generate(400)
         report = backend.replay(trace)
         assert report.completed + report.dropped == 400
-        assert len(seen) == 400
+        assert len(hook.seen) == 400
+
+    def test_process_driver_rejects_an_unpicklable_hook_before_forking(self):
+        from repro.sim.sharded import ShardedConfig
+
+        class LocalHook(CountingHook):
+            def clone_empty(self):
+                return LocalHook()
+
+        backend = create_backend(
+            "sharded",
+            cell_configs(),
+            default_catalogue(DOMAINS, seed=0),
+            seed=0,
+            sharded_config=ShardedConfig(num_shards=2, driver="process"),
+        )
+        backend.on_request_end = LocalHook()
+        trace = ArrivalTraceGenerator(DOMAINS, num_users=10, rate=500.0, seed=3).generate(50)
+        with pytest.raises(ConfigurationError, match="LocalHook"):
+            backend.replay(trace)
 
     @pytest.mark.parametrize("name,shards", [("serial", None), ("sharded", 2)])
     def test_alive_cells_tracks_scheduled_failures(self, name, shards):

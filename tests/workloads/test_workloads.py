@@ -154,7 +154,6 @@ class TestTraces:
 class TestColumnarTrace:
     def test_generated_traces_are_columnar(self):
         trace = ZipfTraceGenerator(["a", "b", "c"], num_users=4, seed=0).generate(50)
-        assert trace.is_columnar
         assert trace.timestamps.dtype == np.float64
         assert len(trace.timestamps) == len(trace.user_indices) == len(trace.domain_indices) == 50
         assert trace.domain_names == ("a", "b", "c")
@@ -174,23 +173,13 @@ class TestColumnarTrace:
         assert first is trace.requests  # cached
         assert [r.domain for r in first] == trace.domains()
 
-    def test_summaries_match_object_form(self):
-        from repro.workloads.traces import RequestTrace
-
+    def test_summaries_match_materialized_requests(self):
         trace = ZipfTraceGenerator(["a", "b", "c"], num_users=5, seed=3).generate(300)
-        object_trace = RequestTrace(requests=list(trace))
-        assert trace.domain_counts() == object_trace.domain_counts()
-        assert trace.users() == object_trace.users()
-        assert trace.domains() == object_trace.domains()
-
-    def test_object_mode_has_no_columns(self):
-        from repro.workloads.traces import RequestTrace, TraceRequest
-
-        trace = RequestTrace(requests=[TraceRequest(0.0, "user_0", "a")])
-        assert not trace.is_columnar
-        with pytest.raises(ValueError):
-            _ = trace.timestamps
-        assert trace.domain_counts() == {"a": 1}
+        requests = list(trace)
+        domains = [request.domain for request in requests]
+        assert trace.domains() == domains
+        assert trace.domain_counts() == {d: domains.count(d) for d in dict.fromkeys(domains)}
+        assert trace.users() == list(dict.fromkeys(request.user_id for request in requests))
 
     def test_from_columns_validates_lengths(self):
         from repro.workloads.traces import RequestTrace
@@ -214,7 +203,7 @@ class TestColumnarTrace:
 
         trace = ZipfTraceGenerator(["a", "b"], num_users=3, seed=4).generate(1000)
         clone = pickle.loads(pickle.dumps(trace))
-        assert clone.is_columnar and len(clone) == 1000
+        assert len(clone) == 1000
         assert np.array_equal(clone.timestamps, trace.timestamps)
         assert clone.domain_counts() == trace.domain_counts()
 
